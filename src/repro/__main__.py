@@ -1019,8 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--fuzz-multi", type=int, default=None,
                         metavar="N",
                         help="number of seeded multi-agent periodic "
-                             "specs driving the joint fast-forward "
-                             "path (default: 10 for the full sweep, "
+                             "specs (default: 10 for the full sweep, "
                              "6 for --quick, 0 with explicit names)")
     p_diff.add_argument("--fuzz-multi-seed", type=int, default=0xA117,
                         metavar="SEED",

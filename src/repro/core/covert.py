@@ -128,21 +128,11 @@ class WindowedSender(Agent):
         self._complete_cb = self._complete
         self._classify = classifier.classify
         self._submit = system.controller.submit_tail
-        #: Fast-forward coordinator: tick wake-ups are holder-parked so
-        #: joint steady-state jumps can move them (and idle-window
-        #: parks bound a co-running receiver's solo jumps exactly).
-        self._ff = system.fast_forward
+        self._schedule_at = system.sim.schedule_at
 
     # ------------------------------------------------------------------
-    def _park(self, time_ps: int) -> None:
-        ff = self._ff
-        if ff is not None:
-            ff.park(self, time_ps, self._tick_cb)
-        else:
-            self.sim.schedule_at(time_ps, self._tick_cb)
-
     def start(self) -> None:
-        self._park(self.epoch)
+        self._schedule_at(self.epoch, self._tick_cb)
 
     def _window_of(self, t: int) -> int:
         return (t - self.epoch) // self.window_ps
@@ -152,7 +142,7 @@ class WindowedSender(Agent):
             return
         now = self.sim.now
         if now < self.epoch:
-            self._park(self.epoch)
+            self._schedule_at(self.epoch, self._tick_cb)
             return
         window = self._window_of(now)
         if window >= len(self.symbols):
@@ -160,8 +150,10 @@ class WindowedSender(Agent):
             return
         gap = self.gaps[self.symbols[window]]
         if gap is None or window == self._halted_window:
+            # Idle window: one wake at the next window's start, which is
+            # what leaves a co-running receiver's horizon clear to jump.
             next_start = self.epoch + (window + 1) * self.window_ps
-            self._park(next_start)
+            self._schedule_at(next_start, self._tick_cb)
             return
         self._issue_time = now
         self.accesses += 1
@@ -178,46 +170,7 @@ class WindowedSender(Agent):
         gap = self.gaps.get(self.symbols[min(window, len(self.symbols) - 1)]
                             ) if window < len(self.symbols) else None
         sleep = self.overhead + (gap or 0)
-        self._park(now + sleep)
-
-    # ------------------------------------------------------------------
-    # Joint steady-state fast-forward hooks (repro.sim.fastforward).
-    # ------------------------------------------------------------------
-    def ff_addrs(self) -> list[int]:
-        return [self.addr]
-
-    def ff_state(self, ff):
-        holder = ff.holder_of(self)
-        if holder is None:
-            return None
-        now = self.sim.now
-        window = self._window_of(now) if now >= self.epoch else -1
-        lin = (self._issue_time, self.accesses, holder.time, holder.seq)
-        # The window index pins every detection window inside one
-        # symbol (the symbol, its gap, and the halt decision all key on
-        # it); crossing a boundary resets detection, and ff_cap keeps
-        # synthesized windows inside the symbol too.
-        inv = (window, self._halted_window, len(self.symbols))
-        return lin, inv
-
-    def ff_verify(self, now: int, period: int, d_lin, d_seq: int) -> bool:
-        return (d_lin[0] == period and d_lin[1] > 0
-                and d_lin[2] == period and d_lin[3] == d_seq)
-
-    def ff_cap(self, now: int, period: int, d_lin) -> int | None:
-        """Never synthesize across the current symbol window's end: the
-        boundary access (new symbol, new gap, halt reset) runs live."""
-        window = self._window_of(now)
-        window_end = self.epoch + (window + 1) * self.window_ps
-        return (window_end - 1 - now) // period
-
-    def ff_production(self, d_lin) -> tuple[int, int]:
-        return d_lin[1], 0
-
-    def ff_jump(self, now: int, period: int, n: int, d_lin) -> int:
-        self._issue_time += d_lin[0] * n
-        self.accesses += d_lin[1] * n
-        return 0
+        self._schedule_at(now + sleep, self._tick_cb)
 
 
 class WindowedReceiver(LatencyProbe):

@@ -103,24 +103,16 @@ class LatencyProbe(Agent):
         # controller may elide its scheduler-wake event (bit-identical;
         # see MemoryController.submit_tail).
         self._submit = system.controller.submit_tail
+        self._schedule_at = system.sim.schedule_at
         #: Steady-state fast-forward coordinator (None when disabled);
         #: consulted at every address-cycle boundary.
         self._ff = system.fast_forward
+        #: The coordinator's detection state for this probe.
+        self._ff_track = None
 
     # ------------------------------------------------------------------
-    def _park(self, time_ps: int) -> None:
-        """Schedule the next loop iteration.  With fast-forward active
-        the wake event is *parked* through the coordinator's holder so
-        a joint steady-state jump can shift it across the window (see
-        ``FastForward.park``); otherwise it is a plain engine event."""
-        ff = self._ff
-        if ff is not None:
-            ff.park(self, time_ps, self._issue_cb)
-        else:
-            self.sim.schedule_at(time_ps, self._issue_cb)
-
     def start(self) -> None:
-        self._park(self.start_time)
+        self._schedule_at(self.start_time, self._issue_cb)
 
     def sleep_until(self, t: int) -> None:
         """Pause the access loop until absolute time ``t`` (resets the
@@ -134,7 +126,7 @@ class LatencyProbe(Agent):
             wake = max(self._sleeping_until, self.sim.now)
             self._sleeping_until = None
             self._prev_end = wake
-            self._park(wake)
+            self._schedule_at(wake, self._issue_cb)
             return
         if self.stop_time is not None and self.sim.now >= self.stop_time:
             self._finish()
@@ -174,102 +166,9 @@ class LatencyProbe(Agent):
             # synthesized samples and moving _prev_end) when the
             # pattern is provably steady.
             ff.consider(self)
-        self._park(self._prev_end + self.overhead)
+        self._schedule_at(self._prev_end + self.overhead, self._issue_cb)
 
     # ------------------------------------------------------------------
-    # Joint steady-state fast-forward hooks (repro.sim.fastforward).
-    # The coordinator treats every holder-parked agent as a potential
-    # *participant* of a superposed periodic steady state; these
-    # methods expose the probe's linear progress, verify its sample
-    # pattern over a candidate combined period, bound a jump, and apply
-    # the per-agent share of one.
-    # ------------------------------------------------------------------
-    def ff_addrs(self) -> list[int]:
-        return self.addrs
-
-    def ff_state(self, ff):
-        """(lin, inv) of this probe for a joint snapshot, or ``None``
-        when it cannot participate right now (jitter perturbs deltas;
-        a pending sleep makes progress non-linear)."""
-        if self.jitter_ps or self._sleeping_until is not None:
-            return None
-        holder = ff.holder_of(self)
-        if holder is None:
-            return None
-        lin = (self._prev_end, len(self.samples), holder.time, holder.seq)
-        inv = (self._addr_idx, self._repeat, self.max_samples,
-               self.stop_time)
-        return lin, inv
-
-    def ff_verify(self, now: int, period: int, d_lin, d_seq: int) -> bool:
-        """Confirm the probe's last two combined periods are exact
-        time-translates: progress fields advanced by one period, and
-        the trailing ``2 x d_samples`` samples repeat with offset
-        ``period`` (equal deltas and addresses).  Also vets the
-        observer replay guard against the cycle's deltas."""
-        d_samples = d_lin[1]
-        if d_samples <= 0:
-            return False
-        if d_lin[0] != period or d_lin[2] != period or d_lin[3] != d_seq:
-            return False
-        samples = self.samples
-        if len(samples) < 2 * d_samples:
-            return False
-        for i in range(-d_samples, 0):
-            late = samples[i]
-            early = samples[i - d_samples]
-            if (late.end_time - early.end_time != period
-                    or late.delta != early.delta
-                    or late.addr != early.addr):
-                return False
-        if self.on_sample is not None:
-            guard = self._ff_observer_guard
-            if (guard is None or guard[0] is not self.on_sample
-                    or not guard[1]([s.delta
-                                     for s in samples[-d_samples:]])):
-                return False
-        return True
-
-    def ff_cap(self, now: int, period: int, d_lin) -> int | None:
-        """Jump bound in combined periods from this probe's own stop
-        conditions (``None`` = unbounded)."""
-        n = None
-        if self.stop_time is not None:
-            n = (self.stop_time - 1 - now) // period
-        if self.max_samples is not None:
-            cap = (self.max_samples - len(self.samples)) // d_lin[1]
-            n = cap if n is None else min(n, cap)
-        return n
-
-    def ff_production(self, d_lin) -> tuple[int, int]:
-        """(reads, writes) this probe contributes per combined period."""
-        return d_lin[1], 0
-
-    def ff_jump(self, now: int, period: int, n: int, d_lin) -> int:
-        """Advance ``n`` combined periods: extend the sample log with
-        shifted copies of the last period's pattern, replay the
-        observer over the synthesized tail, move ``_prev_end``."""
-        d_samples = d_lin[1]
-        samples = self.samples
-        pattern = [(s.end_time, s.delta, s.addr)
-                   for s in samples[-d_samples:]]
-        base = len(samples)
-        samples.extend(
-            LatencySample(t + c * period, d, a)
-            for c in range(1, n + 1) for (t, d, a) in pattern)
-        self._prev_end += period * n
-        if self.on_sample is not None:
-            self._ff_replay(samples[base:])
-        return d_samples * n
-
-    def ff_period_hint(self) -> int | None:
-        """This probe's own detected cycle period (single-agent track),
-        feeding the coordinator's capped-LCM combined-period hint."""
-        track = getattr(self, "_ff_track", None)
-        if track is None or track.t0 is None or track.t1 is None:
-            return None
-        return track.t1 - track.t0
-
     def _ff_replay(self, new_samples) -> None:
         """Apply the observer over synthesized samples, in order.  The
         coordinator only calls this after the observer's replay guard

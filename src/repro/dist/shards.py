@@ -131,7 +131,9 @@ _SWEEP_GAUGES = {
         ("ff_jumps", "fast-forward jumps absorbed from workers"),
         ("ff_cycles", "fast-forward jumped cycles absorbed"),
         ("ff_samples", "fast-forward synthesized samples absorbed"),
-        ("ff_joint_jumps", "joint fast-forward jumps absorbed"),
+        ("ff_considered", "fast-forward boundaries considered"),
+        ("ff_snapshots", "fast-forward detection snapshots taken"),
+        ("ff_gated", "fast-forward boundaries gated by the horizon"),
     )}
 
 #: Per-trial wall-clock budget in seconds (float; unset/0 disables).

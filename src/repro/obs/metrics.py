@@ -9,7 +9,8 @@ Design constraints, in order:
   already keep (at ``run()`` exit and at collect time), so the hot
   path pays nothing whether telemetry is on or off.  The ``repro
   bench`` suite verifies this with an explicit canary
-  (``telemetry_engine_overhead_pct``).
+  (``telemetry_overhead_canary_ok``: a ``run()`` makes the same
+  number of telemetry writes at N and 10N events).
 * **Stdlib only.**  Prometheus text exposition
   (``Registry.to_prometheus``) and a JSON snapshot
   (``Registry.snapshot``) are rendered by hand; no client library.
@@ -381,8 +382,13 @@ REGISTRY.add_collector("fastforward", _DeltaCollector(_ff_source, {
                "Simulated picosecond-cycles skipped by jumps"),
     "samples": ("repro_ff_samples_total",
                 "Probe samples synthesized inside jumps"),
-    "joint_jumps": ("repro_ff_joint_jumps_total",
-                    "Multi-agent (joint) fast-forward jumps"),
+    "considered": ("repro_ff_considered_total",
+                   "Probe cycle boundaries offered to fast-forward"),
+    "snapshots": ("repro_ff_snapshots_total",
+                  "Steady-state detection snapshots taken"),
+    "gated": ("repro_ff_gated_total",
+              "Boundaries whose quiescence horizon was too close to "
+              "be worth a snapshot"),
 }))
 
 

@@ -24,7 +24,6 @@ CLI: ``python -m repro diffcheck [--all | NAME...] [--fuzz N]``.
 from __future__ import annotations
 
 import json
-import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,19 +72,20 @@ class DiffOutcome:
     kind: str  #: "experiment" | "scenario"
     identical: bool
     detail: str = ""  #: first-mismatch path, empty when identical
-    base_seconds: float = 0.0
-    ff_seconds: float = 0.0
     #: Fast-forward engagement during the "on" run (process deltas).
     jumps: int = 0
     cycles: int = 0
+    snapshots: int = 0
     #: Path of the shrunken failing-spec artifact (scenario mismatches).
     artifact: str | None = None
 
     @property
-    def speedup(self) -> float:
-        if self.ff_seconds <= 0:
-            return 0.0
-        return self.base_seconds / self.ff_seconds
+    def snapshots_per_jump(self) -> str:
+        """Detection cost per jump taken (deterministic, unlike a
+        wall-clock ratio); ``-`` when nothing jumped."""
+        if not self.jumps:
+            return "-"
+        return f"{self.snapshots / self.jumps:.1f}"
 
 
 @dataclass
@@ -104,13 +104,13 @@ class DiffReport:
 
     def to_text(self) -> str:
         lines = [f"{'name':24s} {'kind':10s} {'identical':9s} "
-                 f"{'ff jumps':>8s} {'speedup':>8s}"]
-        lines.append("-" * 64)
+                 f"{'jumps':>8s} {'snapshots/jump':>15s}"]
+        lines.append("-" * 70)
         for o in self.outcomes:
             lines.append(
                 f"{o.name:24s} {o.kind:10s} "
                 f"{'yes' if o.identical else 'NO':9s} "
-                f"{o.jumps:8d} {o.speedup:7.2f}x")
+                f"{o.jumps:8d} {o.snapshots_per_jump:>15s}")
             if not o.identical:
                 lines.append(f"    first mismatch: {o.detail}")
                 if o.artifact:
@@ -118,7 +118,7 @@ class DiffReport:
         n = len(self.outcomes)
         bad = len(self.mismatches)
         jumps = sum(o.jumps for o in self.outcomes)
-        lines.append("-" * 64)
+        lines.append("-" * 70)
         lines.append(
             f"{n} case(s), {n - bad} identical, {bad} mismatched; "
             f"{jumps} fast-forward jump(s) exercised")
@@ -197,27 +197,25 @@ def first_diff(a, b, path: str = "$") -> str | None:
     return None
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - start
+def _engagement(before: dict, after: dict) -> dict:
+    """DiffOutcome engagement fields from two fastforward.totals()."""
+    return {key: after[key] - before[key]
+            for key in ("jumps", "cycles", "snapshots")}
 
 
 def diff_scenario(spec, *, artifact_dir: str | None = None,
                   shrink: bool = True) -> DiffOutcome:
     """Run one spec through both engines and compare the deep capture."""
     with fastforward.forced("off"):
-        base, base_s = _timed(lambda: deep_scenario_run(spec))
+        base = deep_scenario_run(spec)
     before = fastforward.totals()
     with fastforward.forced("on"):
-        fast, ff_s = _timed(lambda: deep_scenario_run(spec))
+        fast = deep_scenario_run(spec)
     after = fastforward.totals()
     detail = first_diff(fast, base) or ""
     outcome = DiffOutcome(
         name=spec.name, kind="scenario", identical=not detail,
-        detail=detail, base_seconds=base_s, ff_seconds=ff_s,
-        jumps=after["jumps"] - before["jumps"],
-        cycles=after["cycles"] - before["cycles"])
+        detail=detail, **_engagement(before, after))
     if detail and shrink:
         minimal = shrink_spec(spec)
         outcome.artifact = write_artifact(minimal, outcome,
@@ -238,17 +236,15 @@ def diff_experiment(name: str, params: dict | None = None) -> DiffOutcome:
         return canonicalize(value)
 
     with fastforward.forced("off"):
-        base, base_s = _timed(run)
+        base = run()
     before = fastforward.totals()
     with fastforward.forced("on"):
-        fast, ff_s = _timed(run)
+        fast = run()
     after = fastforward.totals()
     detail = first_diff(fast, base) or ""
     return DiffOutcome(
         name=name, kind="experiment", identical=not detail,
-        detail=detail, base_seconds=base_s, ff_seconds=ff_s,
-        jumps=after["jumps"] - before["jumps"],
-        cycles=after["cycles"] - before["cycles"])
+        detail=detail, **_engagement(before, after))
 
 
 # ----------------------------------------------------------------------
@@ -340,8 +336,7 @@ def run_diffcheck(*, experiments: list[str] | None = None,
                   log=lambda msg: None) -> DiffReport:
     """The full sweep: named experiments + fuzzed scenario specs (the
     adversarial single-probe profile plus ``fuzz_multi`` multi-agent
-    periodic casts aimed at the joint fast-forward path) + explicit
-    spec files.
+    periodic casts) + explicit spec files.
 
     ``backend`` selects the sweep-execution backend the *experiment*
     runs fan out over (see :mod:`repro.dist`) — the equivalence check

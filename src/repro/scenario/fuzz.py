@@ -158,12 +158,12 @@ def random_specs(n: int, base_seed: int = 0x5EED) -> list[ScenarioSpec]:
 
 
 # ----------------------------------------------------------------------
-# Multi-agent periodic casts (the joint fast-forward fuzz profile)
+# Multi-agent periodic casts (the multi-agent fast-forward fuzz profile)
 # ----------------------------------------------------------------------
 def _periodic_probe(rng: random.Random, index: int,
                     bank: tuple[int, int]) -> AgentSpec:
     """A jitter-free bounded probe: the periodic-friendly variant the
-    joint steady-state detector can actually engage with."""
+    steady-state detector can actually engage with."""
     first = rng.randrange(0, 48)
     n_rows = rng.choice((1, 2))
     return AgentSpec("probe", name=f"probe-{index}", params={
@@ -176,15 +176,15 @@ def _periodic_probe(rng: random.Random, index: int,
 
 def random_multiagent_spec(seed: int) -> ScenarioSpec:
     """One seeded multi-agent *periodic* scenario spec (deterministic
-    per seed): two or three agents whose superposition the joint
-    steady-state fast-forward path must either jump bit-identically or
-    soundly decline.
+    per seed): two or three agents beside which steady-state
+    fast-forward must either jump bit-identically or soundly decline.
 
     Where :func:`random_spec` is adversarial (jitter, stop-on
     watchers), every cast here is periodic-friendly -- co-running
     probes, a probe against an activation-noise generator, or a
     window-synchronized covert sender + receiver pair -- so these
-    specs drive the joint detector's *engagement* paths, not just its
+    specs drive the detector's *engagement* paths (a probe jumping
+    while its co-agents sleep or after they retire), not just its
     refusals.
     """
     rng = random.Random(seed)
@@ -196,8 +196,8 @@ def random_multiagent_spec(seed: int) -> ScenarioSpec:
 
     if cast in ("probes", "three"):
         # Same-bank probes interleave in the controller; split-bank
-        # probes superpose as commensurate independent loops.  Both
-        # shapes must hold bit-identically under joint jumps.
+        # probes run as commensurate independent loops.  Both shapes
+        # must hold bit-identically under jumps.
         banks = [shared_bank,
                  shared_bank if rng.random() < 0.5 else other_bank]
         if cast == "three":

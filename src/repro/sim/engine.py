@@ -90,7 +90,8 @@ class Simulator:
 
     __slots__ = ("now", "_heap", "_fifo", "_fifo_head", "_imm",
                  "_imm_head", "_seq", "_events_run", "_events_elided",
-                 "_elided_published", "_running", "_stop_at")
+                 "_elided_published", "_running", "_stop_at",
+                 "_exit_hooks")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -110,6 +111,8 @@ class Simulator:
         #: ``until`` of the run() call currently executing (None when
         #: not running or running without a limit); see run_horizon.
         self._stop_at: int | None = None
+        #: Callables run at every run() exit (see add_exit_hook).
+        self._exit_hooks: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -117,9 +120,7 @@ class Simulator:
     def schedule_at(self, time_ps: int, callback: Callable[[], None]) -> int:
         """Schedule ``callback`` to run at absolute time ``time_ps``.
 
-        Returns the sequence number assigned to the event (the
-        fast-forward holder machinery records it so shifted events keep
-        their deterministic tie-break position).
+        Returns the sequence number assigned to the event.
 
         Lane admission (inlined in every scheduling method -- this is
         the hot path): the FIFO lane takes events at or beyond its tail
@@ -228,35 +229,6 @@ class Simulator:
             self._seq = seq
         return count
 
-    def push_entry(self, time_ps: int, seq: int, callback: Callable,
-                   arg=_NO_ARG) -> None:
-        """Insert an event with an explicit ``(time, seq)`` key.
-
-        The steady-state fast-forward coordinator uses this to *shift*
-        a parked agent's wake event across a jumped window: the shifted
-        entry carries exactly the sequence number event-accurate
-        execution would have assigned at the post-jump timestamp, so
-        same-instant tie-breaks stay bit-identical.  The key must not
-        lie in the executed past; entries always land on the heap (a
-        shift is rare -- once per jump per agent, not per event).
-        """
-        if time_ps < self.now:
-            raise SimulationError(
-                f"cannot push an entry at {time_ps} ps; now is "
-                f"{self.now} ps")
-        heapq.heappush(self._heap, (time_ps, seq, callback, arg))
-
-    def iter_pending(self) -> "Iterable[tuple]":
-        """Iterate over all pending ``(time, seq, callback, arg)``
-        entries, in no particular order (valid between runs and from
-        inside event callbacks).  The fast-forward coordinator scans
-        this to separate *foreign* events (refresh ticks, defense
-        timers, unmanaged agents) from parked participant wake events
-        it is about to shift."""
-        yield from self._imm[self._imm_head:]
-        yield from self._fifo[self._fifo_head:]
-        yield from self._heap
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -360,6 +332,8 @@ class Simulator:
                 self._elided_published = self._events_elided
             self._running = False
             self._stop_at = None
+            for hook in self._exit_hooks:
+                hook()
         if until is not None and until > self.now:
             self.now = until
         return executed
@@ -431,6 +405,12 @@ class Simulator:
         ``T``, so incremental drivers stay bit-identical too.
         """
         return self._stop_at
+
+    def add_exit_hook(self, hook: Callable[[], None]) -> None:
+        """Run ``hook()`` at every :meth:`run` exit -- how layers that
+        keep per-instance counters (fast-forward) publish them to
+        process-wide totals once per run, never from the hot loop."""
+        self._exit_hooks.append(hook)
 
     def note_elided(self, n: int) -> None:
         """Account for ``n`` events that steady-state fast-forward (or

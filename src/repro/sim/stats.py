@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -163,14 +164,14 @@ class MemoryStats:
     #: Counters that may only change through a blocking event, which a
     #: jump by construction never contains.
     _FF_INV = ("refreshes", "rfm_commands", "backoffs", "para_refreshes")
+    _ff_lin = attrgetter(*_FF_LIN)
+    _ff_inv = attrgetter(*_FF_INV)
 
     def ff_snapshot(self) -> tuple[tuple, tuple]:
         """(lin, inv) counter state for periodicity detection.  The
         first lin entry is ``activations`` -- the fast-forward engine
         hands its per-cycle delta to ``Defense.ff_cycle_cap``."""
-        lin = tuple(getattr(self, name) for name in self._FF_LIN)
-        inv = tuple(getattr(self, name) for name in self._FF_INV)
-        return lin, inv + (len(self.blocks),)
+        return self._ff_lin(self), self._ff_inv(self) + (len(self.blocks),)
 
     def ff_apply(self, delta, cycles: int) -> None:
         """Bulk-add ``cycles`` steady cycles' worth of counters."""

@@ -53,7 +53,7 @@ class TestFuzzer:
 
 
 class TestMultiAgentFuzzer:
-    """The joint fast-forward fuzz profile: two/three-agent periodic
+    """The multi-agent fuzz profile: two/three-agent periodic
     casts (``--fuzz-multi``)."""
 
     def test_same_seed_same_spec(self):

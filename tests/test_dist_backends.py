@@ -136,6 +136,22 @@ class TestBackendEquivalence:
         assert off == [False, False]
         assert on == [True, True]
 
+    def test_pool_carries_ff_efficiency_counters_home(self):
+        from repro.sim import fastforward
+
+        def delta_of(run):
+            before = fastforward.totals()
+            run()
+            after = fastforward.totals()
+            return {k: after[k] - before[k] for k in after}
+
+        local = delta_of(lambda: dist_trials.ff_jumping_trial(0))
+        pooled = delta_of(lambda: map_trials(
+            dist_trials.ff_jumping_trial, [0, 1], backend="pool",
+            workers=2))
+        assert local["considered"] >= local["snapshots"] > 0
+        assert pooled == {k: 2 * v for k, v in local.items()}
+
 
 class TestTrialCache:
     def test_results_stream_into_the_cache(self, tmp_path):

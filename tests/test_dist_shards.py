@@ -186,6 +186,20 @@ class TestPerSweepTotals:
         assert (after["jumps"] - before["jumps"]
                 == sum(first) + sum(second))
 
+    def test_ff_efficiency_counters_carried_home(self, backend):
+        """The considered/snapshots/gated counters ride home with the
+        jump totals, exactly as a local run of the same trial counts
+        them."""
+        from repro.sim import fastforward
+
+        before = fastforward.totals()
+        dist_trials.ff_jumping_trial(0)
+        after = fastforward.totals()
+        local = {k: after[k] - before[k] for k in after}
+        backend.run(dist_trials.ff_jumping_trial, [0], [None], workers=1)
+        assert backend.last_stats["ff_totals"] == local
+        assert local["considered"] >= local["snapshots"] > 0
+
     def test_ff_totals_zero_for_non_simulating_sweep(self, backend):
         backend.run(dist_trials.square, [1, 2], [None] * 2, workers=1)
         assert all(v == 0
